@@ -3,7 +3,7 @@ GO ?= go
 # Total-coverage floor enforced by cover-check (and CI).
 COVER_FLOOR ?= 80.0
 
-.PHONY: build test race bench bench-infer bench-cache bench-forest bench-serve bench-buildq bench-stream bench-stats bench-gate serve-smoke stream-smoke lint cover cover-check faults
+.PHONY: build test race bench bench-infer bench-cache bench-forest bench-serve bench-buildq bench-stream bench-stats bench-gate serve-smoke stream-smoke lint cover cover-check faults fuzz
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,17 @@ cover-check: cover
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
+
+# A short fuzzing pass over every fuzz target. go test fuzzes one target per
+# invocation, hence one line each; FUZZTIME bounds each target.
+FUZZTIME ?= 15s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzStatsCache$$' -fuzztime $(FUZZTIME) ./internal/stats/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenFile$$' -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenQuantFile$$' -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzQuantRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzPageCache$$' -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzCodeSubtree$$' -fuzztime $(FUZZTIME) ./internal/exact/
 
 # The robustness suite: fault-injection tests repeated (they are seeded, so
 # repetition guards the retry plumbing, not flakiness — and the TestFaultCache*

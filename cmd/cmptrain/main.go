@@ -162,7 +162,11 @@ func runForest(ctx context.Context, fo forestOptions, data, save, metricsJSON st
 			return err
 		}
 	}
-	fmt.Fprintf(stdout, "algorithm   %s forest\n", fo.algo)
+	name := fo.algo
+	if fo.eval.Quantize && algo == cmpdt.CMP {
+		name = eval.AlgoCMPB // quantized builds search no linear-combination splits
+	}
+	fmt.Fprintf(stdout, "algorithm   %s forest\n", name)
 	fmt.Fprintf(stdout, "trees       %d (feature_frac %.2f, bootstrap %v)\n",
 		f.NumTrees(), fo.featureFrac, !fo.noBootstrap)
 	fmt.Fprintf(stdout, "wall time   %v\n", wall)

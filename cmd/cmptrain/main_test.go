@@ -186,3 +186,43 @@ func TestMetricsScanTotalsMatchStorage(t *testing.T) {
 		})
 	}
 }
+
+// TestQuantizedCMPReportsCMPB: a quantized build searches no linear-
+// combination splits, so -algo cmp -quantize runs CMP-B and must say so on
+// the algorithm line and in the metrics report; raw cmp stays cmp.
+func TestQuantizedCMPReportsCMPB(t *testing.T) {
+	data := trainData(t)
+	for _, tc := range []struct {
+		quantize bool
+		want     string
+	}{{false, "cmp"}, {true, "cmp-b"}} {
+		metrics := filepath.Join(t.TempDir(), "metrics.json")
+		var out bytes.Buffer
+		opts := eval.Options{Workers: 1, Seed: 1, Quantize: tc.quantize}
+		if err := run(context.Background(), "cmp", data, "", metrics, true, opts, &out); err != nil {
+			t.Fatal(err)
+		}
+		if line := "algorithm   " + tc.want + "\n"; !strings.HasPrefix(out.String(), line) {
+			t.Errorf("quantize=%v: output starts %q, want %q", tc.quantize, strings.SplitN(out.String(), "\n", 2)[0], line)
+		}
+		raw, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep obs.Report
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Build.Algorithm != tc.want {
+			t.Errorf("quantize=%v: build.algorithm = %q, want %q", tc.quantize, rep.Build.Algorithm, tc.want)
+		}
+	}
+	var out bytes.Buffer
+	fo := forestOptions{algo: "cmp", trees: 2, featureFrac: 1, eval: eval.Options{Workers: 1, Seed: 1, Quantize: true}}
+	if err := runForest(context.Background(), fo, data, "", "", &out); err != nil {
+		t.Fatal(err)
+	}
+	if line := "algorithm   cmp-b forest\n"; !strings.HasPrefix(out.String(), line) {
+		t.Errorf("forest output starts %q, want %q", strings.SplitN(out.String(), "\n", 2)[0], line)
+	}
+}

@@ -456,7 +456,7 @@ func trainSource(ctx context.Context, src storage.Source, cfg Config) (*Tree, *S
 	if cfg.Observer != nil {
 		eval.ExportCacheCounters(col.Registry(), res.IO)
 		rep := col.Snapshot()
-		rep.Build.Algorithm = ccfg.Algorithm.String()
+		rep.Build.Algorithm = res.Stats.Ran(ccfg.Algorithm).String()
 		rep.Build.Records = src.NumRecords()
 		rep.Build.Workers = col.Workers()
 		rep.Build.Seed = ccfg.Seed

@@ -297,7 +297,10 @@ type Stats struct {
 	// BufferedRecords counts records set aside in alive-interval buffers
 	// over the whole build.
 	BufferedRecords int64
-	// PeakBufferBytes is the largest simultaneous buffer footprint.
+	// PeakBufferBytes is the largest simultaneous buffer footprint. Raw
+	// builds buffer float64 rows plus a record id and label (8·attrs + 8
+	// bytes per record); quantized builds buffer raw uint16 codes plus an
+	// int32 label (2·attrs + 4 bytes).
 	PeakBufferBytes int64
 	// PeakHistogramBytes is the largest simultaneous histogram/matrix
 	// footprint.
@@ -411,6 +414,16 @@ func (s Stats) FillStatsCache(c *obs.StatsCacheSummary) {
 	c.BytesResident = s.StatsCacheBytesResident
 	c.PeakBytes = s.StatsCachePeakBytes
 	c.ScansSaved = s.ScansSaved
+}
+
+// Ran returns the variant a build configured with algorithm a actually
+// ran: quantized builds search no linear-combination splits, so CMPFull
+// runs as CMPB there (see Config.Quantize).
+func (s Stats) Ran(a Algorithm) Algorithm {
+	if s.Quantized && a == CMPFull {
+		return CMPB
+	}
+	return a
 }
 
 // Result bundles a finished build.

@@ -13,7 +13,9 @@ package core
 // nothing left to refine and is absent here. Split thresholds are carried as
 // code boundaries during construction and translated back to raw feature
 // units from the quantizer's breakpoint tables in one final pass, so emitted
-// trees predict over raw records exactly like raw-built trees.
+// trees predict over raw records exactly like raw-built trees. Collect nodes
+// stay in code space as well: the scan buffers their records' raw codes and
+// exact.BuildCodeSubtree finishes them by counting codes per node.
 //
 // Determinism matches the raw path: contiguous record ranges per worker,
 // private per-worker accumulators merged in worker-index order, serial
@@ -67,7 +69,7 @@ type qnode struct {
 	// its decision reads the cached (exact) statistics instead.
 	prefilled bool
 
-	buffer       buffer // collect rows: codes widened to float64
+	buffer       exact.CodeRows // collect rows: raw codes plus labels
 	collectRound int
 
 	children []*qnode
@@ -156,7 +158,6 @@ type qbuilder struct {
 	rng    *rand.Rand
 	obs    *obs.Collector
 	scache *stats.Cache // cross-level sufficient-statistics cache; nil = off
-	row    []float64    // serial-scan scratch: one code row widened to float64
 }
 
 // buildQuantized is BuildContext's bin-coded branch. cfg is already
@@ -206,7 +207,6 @@ func buildQuantized(ctx context.Context, src storage.Source, cfg Config) (*Resul
 		}
 	}
 	b.initStatsCache()
-	b.row = make([]float64, b.na)
 
 	b.obs.StartRound(0) // round 0: quantization (discretize + encode)
 	initSpan := b.obs.StartSpan(obs.PhaseInit)
@@ -536,7 +536,6 @@ func (b *qbuilder) newQNode(depth int, lo, hi []int, xAttr int) *qnode {
 		hi:    hi,
 		xAttr: xAttr,
 	}
-	n.buffer.init(b.na)
 	b.nodes = append(b.nodes, n)
 	b.all = append(b.all, n)
 	b.byTN[n.tn] = n
@@ -657,21 +656,19 @@ func (b *qbuilder) finishSkippedScan() {
 // worker-index order after the pass (same contract as the raw scanShard).
 type qshard struct {
 	nodes []*qshardNode
-	row   []float64
 }
 
 type qshardNode struct {
 	hists  []*histogram.Hist1D
 	mats   []*histogram.Matrix
 	cmats  []*histogram.Matrix
-	buffer buffer
+	buffer exact.CodeRows
 }
 
 func (sh *qshard) nodeFor(b *qbuilder, n *qnode) *qshardNode {
 	sn := sh.nodes[n.id]
 	if sn == nil {
 		sn = &qshardNode{}
-		sn.buffer.init(b.na)
 		if n.state == stBuilding {
 			sn.hists, sn.mats, sn.cmats = b.makeQHists(n)
 		}
@@ -701,14 +698,14 @@ func (sh *qshard) mergeInto(b *qbuilder) {
 				n.cmats[a].Merge(m)
 			}
 		}
-		n.buffer.appendFrom(&sn.buffer)
+		n.buffer.AppendFrom(&sn.buffer)
 	}
 }
 
 func (b *qbuilder) scanParallel(rs storage.CodeRangeSource) error {
 	shards := make([]*qshard, b.cfg.Workers)
 	for w := range shards {
-		shards[w] = &qshard{nodes: make([]*qshardNode, len(b.nodes)), row: make([]float64, b.na)}
+		shards[w] = &qshard{nodes: make([]*qshardNode, len(b.nodes))}
 	}
 	span := b.obs.StartSpan(obs.PhaseScan)
 	var observe func(storage.WorkerScan)
@@ -756,16 +753,11 @@ func (b *qbuilder) route(sh *qshard, rid int, codes []uint16, label int) {
 				n = n.children[1]
 			}
 		case stCollect:
-			row := b.row
-			buf := &n.buffer
 			if sh != nil {
-				row = sh.row
-				buf = &sh.nodeFor(b, n).buffer
+				sh.nodeFor(b, n).buffer.Add(codes, label)
+			} else {
+				n.buffer.Add(codes, label)
 			}
-			for a, c := range codes {
-				row[a] = float64(c)
-			}
-			buf.add(rid, row, label)
 			b.nid[rid] = n.id
 			return
 		default: // stBuilding
@@ -1447,7 +1439,7 @@ func (b *qbuilder) finalizeAsLeaf(n *qnode, counts []int) {
 		b.retire(c, n)
 	}
 	n.children = nil
-	n.buffer.reset()
+	n.buffer.Reset()
 	n.hists, n.mats, n.cmats = nil, nil, nil
 	n.state = stLeaf
 	b.scache.Drop(n.id)
@@ -1460,7 +1452,7 @@ func (b *qbuilder) retire(n *qnode, to *qnode) {
 	n.dead = true
 	n.succ = to
 	n.hists, n.mats, n.cmats = nil, nil, nil
-	n.buffer.reset()
+	n.buffer.Reset()
 	b.scache.Drop(n.id)
 	delete(b.byTN, n.tn)
 	for _, c := range n.children {
@@ -1470,9 +1462,10 @@ func (b *qbuilder) retire(n *qnode, to *qnode) {
 }
 
 // finishCollects builds each filled collect node's subtree in memory with
-// the exact algorithm, over code rows. The exact finisher's midpoint
-// thresholds land between integer codes, which translate resolves like any
-// boundary: code <= t is code <= floor(t) for integer codes.
+// the exact algorithm over its buffered code rows, counting codes per node
+// instead of sorting values. The exact finisher's midpoint thresholds land
+// between integer codes, which translate resolves like any boundary:
+// code <= t is code <= floor(t) for integer codes.
 func (b *qbuilder) finishCollects() {
 	span := b.obs.StartSpan(obs.PhaseCollect)
 	defer span.End()
@@ -1489,7 +1482,7 @@ func (b *qbuilder) finishCollects() {
 	}
 	doParallel(b.cfg.Workers, len(ready), func(i int) {
 		c := ready[i]
-		sub := exact.BuildSubtree(&c.buffer, b.schema, exact.Config{
+		sub := exact.BuildCodeSubtree(&c.buffer, b.schema, exact.Config{
 			MinSplitRecords: b.cfg.MinSplitRecords,
 			MaxDepth:        b.cfg.MaxDepth - c.depth,
 			MinGiniGain:     b.cfg.MinGiniGain,
@@ -1498,7 +1491,7 @@ func (b *qbuilder) finishCollects() {
 		})
 		// Graft in place so the parent's pointer to c.tn stays valid.
 		*c.tn = *sub
-		c.buffer.reset()
+		c.buffer.Reset()
 		c.state = stDone
 	})
 	b.collects = remaining
@@ -1553,7 +1546,7 @@ func (b *qbuilder) snapshotMemory() {
 			continue
 		}
 		hist += n.histMemoryBytes()
-		buf += n.buffer.bytes()
+		buf += n.buffer.Bytes()
 	}
 	if hist > b.stats.PeakHistogramBytes {
 		b.stats.PeakHistogramBytes = hist

@@ -225,7 +225,7 @@ func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, 
 			// res.IO, not src.Stats(): a quantized build's round scans run
 			// against the bin-coded store (possibly a temporary file), whose
 			// accounting lives in res.IO alongside the raw source's passes.
-			r := finishIO(algo, src, res.IO, start, t, aux, mem, res.Stats.ObliqueSplits, trainTbl, testTbl)
+			r := finishIO(algoName(res.Stats.Ran(cfg.Algorithm)), src, res.IO, start, t, aux, mem, res.Stats.ObliqueSplits, trainTbl, testTbl)
 			r.Skipped = res.Stats.SkippedRecords
 			st := res.Stats
 			r.CoreStats = &st
@@ -319,6 +319,18 @@ func coreAlgo(name string) core.Algorithm {
 		return core.CMPFull
 	default:
 		return core.CMPS
+	}
+}
+
+// algoName is coreAlgo's inverse.
+func algoName(a core.Algorithm) string {
+	switch a {
+	case core.CMPB:
+		return AlgoCMPB
+	case core.CMPFull:
+		return AlgoCMP
+	default:
+		return AlgoCMPS
 	}
 }
 

@@ -66,7 +66,7 @@ func BuildSubtree(rows Rows, schema *dataset.Schema, cfg Config) *tree.Node {
 		idx[i] = i
 	}
 	b := &builder{rows: rows, schema: schema, cfg: cfg}
-	return b.build(idx, 0)
+	return grow(b, &cfg, idx, 0)
 }
 
 // BestSplit evaluates every attribute of the rows exactly and returns the
@@ -80,7 +80,42 @@ func BestSplit(rows Rows, schema *dataset.Schema) (tree.Split, float64, bool) {
 		idx[i] = i
 	}
 	b := &builder{rows: rows, schema: schema, cfg: DefaultConfig()}
-	return b.bestSplit(idx)
+	return b.bestSplit(idx, b.classCounts(idx))
+}
+
+// splitter is one row representation's split search. grow owns the
+// stopping rules, so every representation stops, splits and recurses alike.
+type splitter interface {
+	classCounts(idx []int) []int
+	// bestSplit returns the best split of the rows in idx, whose per-class
+	// totals are total; ok is false when none partitions them.
+	bestSplit(idx []int, total []int) (s tree.Split, g float64, ok bool)
+	// partition divides idx by s. It may reorder idx and return subslices.
+	partition(idx []int, s *tree.Split) (left, right []int)
+}
+
+// grow builds the subtree over the rows in idx at the given depth.
+func grow(sp splitter, cfg *Config, idx []int, depth int) *tree.Node {
+	node := &tree.Node{}
+	node.SetCounts(sp.classCounts(idx))
+	if node.Gini == 0 || node.N < cfg.MinSplitRecords || depth >= cfg.MaxDepth {
+		return node
+	}
+	if cfg.PurityStop > 0 && float64(node.ClassCounts[node.Class]) >= cfg.PurityStop*float64(node.N) {
+		return node
+	}
+	split, g, ok := sp.bestSplit(idx, node.ClassCounts)
+	if !ok || node.Gini-g < cfg.MinGiniGain {
+		return node
+	}
+	left, right := sp.partition(idx, &split)
+	if len(left) == 0 || len(right) == 0 {
+		return node
+	}
+	node.Split = &split
+	node.Left = grow(sp, cfg, left, depth+1)
+	node.Right = grow(sp, cfg, right, depth+1)
+	return node
 }
 
 type builder struct {
@@ -97,43 +132,23 @@ func (b *builder) classCounts(idx []int) []int {
 	return counts
 }
 
-func (b *builder) build(idx []int, depth int) *tree.Node {
-	node := &tree.Node{}
-	node.SetCounts(b.classCounts(idx))
-	if node.Gini == 0 || node.N < b.cfg.MinSplitRecords || depth >= b.cfg.MaxDepth {
-		return node
-	}
-	if b.cfg.PurityStop > 0 && float64(node.ClassCounts[node.Class]) >= b.cfg.PurityStop*float64(node.N) {
-		return node
-	}
-	split, g, ok := b.bestSplit(idx)
-	if !ok || node.Gini-g < b.cfg.MinGiniGain {
-		return node
-	}
-	var left, right []int
+func (b *builder) partition(idx []int, s *tree.Split) (left, right []int) {
 	for _, i := range idx {
-		if split.GoesLeft(b.rows.Row(i)) {
+		if s.GoesLeft(b.rows.Row(i)) {
 			left = append(left, i)
 		} else {
 			right = append(right, i)
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
-		return node
-	}
-	node.Split = &split
-	node.Left = b.build(left, depth+1)
-	node.Right = b.build(right, depth+1)
-	return node
+	return left, right
 }
 
 // bestSplit scans every attribute for the best exact split of the rows in
 // idx.
-func (b *builder) bestSplit(idx []int) (tree.Split, float64, bool) {
+func (b *builder) bestSplit(idx []int, total []int) (tree.Split, float64, bool) {
 	var best tree.Split
 	bestG := 2.0
 	found := false
-	total := b.classCounts(idx)
 	zeros := make([]int, len(total))
 
 	vals := make([]float64, len(idx))

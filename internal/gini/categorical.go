@@ -1,5 +1,7 @@
 package gini
 
+import "math/bits"
+
 // MaxSubsetCardinality bounds categorical domains: subsets are represented
 // as uint64 bitmasks.
 const MaxSubsetCardinality = 64
@@ -47,45 +49,49 @@ func BestSubsetSplit(counts [][]int) (mask uint64, best float64, ok bool) {
 	return greedySubset(counts, total)
 }
 
+// exhaustiveSubset returns the subset an ascending scan over every mask
+// would pick with a first-strictly-better rule: the lowest mask of minimal
+// index. Value 0 stays on the right (complements split identically), and
+// values without records are left out of the search, since adding one
+// changes no count and only raises the mask. The occupied values are walked
+// in Gray-code order, one value moving sides per step, so each candidate
+// costs one count update instead of a sum over every value.
 func exhaustiveSubset(counts [][]int, total []int) (mask uint64, best float64, ok bool) {
-	v := len(counts)
-	nc := len(total)
-	left := make([]int, nc)
-	best = 2.0
-	// Fix value 0's side to halve the search space; complements are equal.
-	for m := uint64(1); m < 1<<uint(v-1); m++ {
-		for c := range left {
-			left[c] = 0
-		}
-		empty := true
-		for val := 1; val < v; val++ {
-			if m&(1<<uint(val-1)) == 0 {
-				continue
-			}
-			for c, n := range counts[val] {
-				left[c] += n
-				if n > 0 {
-					empty = false
-				}
-			}
-		}
-		if empty {
-			continue
-		}
-		full := true
-		for c := range left {
-			if left[c] != total[c] {
-				full = false
+	n := 0
+	for _, t := range total {
+		n += t
+	}
+	var buf [MaxSubsetCardinality]int
+	vals := buf[:0]
+	for val := 1; val < len(counts); val++ {
+		for _, k := range counts[val] {
+			if k > 0 {
+				vals = append(vals, val)
 				break
 			}
 		}
-		if full {
-			continue
+	}
+	left := make([]int, len(total))
+	nl := 0
+	var m uint64
+	best = 2.0
+	for step := uint64(1); step < 1<<uint(len(vals)); step++ {
+		val := vals[bits.TrailingZeros64(step)]
+		bit := uint64(1) << uint(val)
+		sign := 1
+		if m&bit != 0 {
+			sign = -1
 		}
-		if g := SplitBelow(left, total); g < best {
-			best = g
-			mask = m << 1 // shift back: bit val-1 represented value val
-			ok = true
+		m ^= bit
+		for c, k := range counts[val] {
+			left[c] += sign * k
+			nl += sign * k
+		}
+		if nl == n {
+			continue // every record on the left
+		}
+		if g := SplitBelow(left, total); g < best || (g == best && m < mask) {
+			best, mask, ok = g, m, true
 		}
 	}
 	return mask, best, ok

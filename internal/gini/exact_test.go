@@ -205,3 +205,65 @@ func TestBestSubsetSplitDegenerate(t *testing.T) {
 		t.Error("cardinality beyond 64 should be rejected")
 	}
 }
+
+// ascendingSubset is the plain exhaustive search: every mask with value 0
+// on the right, in ascending order, first strictly better wins.
+func ascendingSubset(counts [][]int, total []int) (mask uint64, best float64, ok bool) {
+	v := len(counts)
+	best = 2.0
+	for m := uint64(1); m < 1<<uint(v-1); m++ {
+		left := make([]int, len(total))
+		nl, n := 0, 0
+		for val := 1; val < v; val++ {
+			if m&(1<<uint(val-1)) != 0 {
+				for c, k := range counts[val] {
+					left[c] += k
+					nl += k
+				}
+			}
+		}
+		for _, k := range total {
+			n += k
+		}
+		if nl == 0 || nl == n {
+			continue
+		}
+		if g := SplitBelow(left, total); g < best {
+			best, mask, ok = g, m<<1, true
+		}
+	}
+	return mask, best, ok
+}
+
+// TestExhaustiveSubsetMatchesAscendingScan pins the Gray-code search to the
+// ascending scan bit for bit — mask, index and ok — including the tie-breaks
+// that empty values and repeated count vectors create.
+func TestExhaustiveSubsetMatchesAscendingScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 3000; iter++ {
+		v := 2 + rng.Intn(exhaustiveSubsetLimit-1)
+		nc := 2 + rng.Intn(3)
+		counts := make([][]int, v)
+		total := make([]int, nc)
+		for val := range counts {
+			counts[val] = make([]int, nc)
+			switch {
+			case val > 0 && rng.Intn(4) == 0:
+				copy(counts[val], counts[rng.Intn(val)]) // repeated vector
+			case rng.Intn(4) != 0: // else: an empty value
+				for c := range counts[val] {
+					counts[val][c] = rng.Intn(6)
+				}
+			}
+			for c, k := range counts[val] {
+				total[c] += k
+			}
+		}
+		mask, g, ok := exhaustiveSubset(counts, total)
+		wMask, wg, wok := ascendingSubset(counts, total)
+		if mask != wMask || g != wg || ok != wok {
+			t.Fatalf("counts=%v: got (%b, %v, %v), ascending scan (%b, %v, %v)",
+				counts, mask, g, ok, wMask, wg, wok)
+		}
+	}
+}

@@ -76,3 +76,22 @@ func TestStatsCacheReportConsistency(t *testing.T) {
 		t.Fatal("deep build saved no scans; the regression this test pins is gone")
 	}
 }
+
+// TestQuantizedCMPReportAlgorithm: the report names the variant that ran.
+// Quantized builds search no linear-combination splits, so a quantized CMP
+// build reports CMP-B; a raw one reports CMP.
+func TestQuantizedCMPReportAlgorithm(t *testing.T) {
+	ds := loanDataset(t, 3_000)
+	for _, tc := range []struct {
+		quantize bool
+		want     string
+	}{{false, "CMP"}, {true, "CMP-B"}} {
+		o := NewObserver()
+		if _, err := Train(ds, Config{Algorithm: CMP, Quantize: tc.quantize, Workers: 1, Observer: o}); err != nil {
+			t.Fatal(err)
+		}
+		if got := o.Report().Build.Algorithm; got != tc.want {
+			t.Errorf("quantize=%v: build.algorithm = %q, want %q", tc.quantize, got, tc.want)
+		}
+	}
+}
